@@ -70,10 +70,13 @@ enum class SolverTier {
   /// Sharded lazy greedy with global merge — the default since PR 1.
   kLazy,
   /// kLazy, then every solve's output is polished by shift/swap local
-  /// search (ls::polish) over the instance points, riding the carried
-  /// coverage index for delta evaluation. Warm re-solves seed the polish
-  /// from the previous epoch's placement (the planner's refined centers),
-  /// and the polish never returns a worse placement than its seed.
+  /// search (ls::polish) over the instance points, with candidate
+  /// coverage columns cached once per polish in a workspace the service
+  /// keeps across solves (the carried coverage index, when present,
+  /// builds them). The served (polished) placement becomes the warm
+  /// planner's history, so the next warm re-solve refines it and the
+  /// polish only repairs what the churn broke. The polish never returns
+  /// a worse placement than its seed.
   kLs,
 };
 
@@ -304,6 +307,9 @@ class PlacementService {
   ShardedInstanceStore store_;
   std::unique_ptr<ShardedSolver> sharded_;
   std::unique_ptr<sim::WarmStartPlanner> planner_;
+  /// Coverage-column storage lent to every kLs polish (capacity kept
+  /// across solves).
+  ls::ColumnWorkspace ls_workspace_;
   std::optional<PlacementView> view_;
   std::uint64_t churn_since_solve_ = 0;
   /// Interest rows of recently churned-in users (swap candidates).

@@ -52,6 +52,11 @@ class WarmStartPlanner {
   /// Forgets history (e.g. after a handover); next plan() cold-solves.
   void reset() noexcept { previous_.reset(); }
 
+  /// Replaces the history with \p centers: a caller that post-processes
+  /// plan()'s output (a polish tier) seeds the next warm plan with the
+  /// placement it actually served rather than the planner's own.
+  void adopt(const geo::PointSet& centers) { previous_ = centers; }
+
   /// True when the next plan() can warm-start a k-center solve.
   [[nodiscard]] bool has_history(std::size_t k) const noexcept {
     return previous_.has_value() && previous_->size() == k;

@@ -1,6 +1,7 @@
 #include "mmph/ls/local_search.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -14,16 +15,59 @@
 namespace mmph::ls {
 
 namespace {
+
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+
+/// \p v when \p keep, else exactly +0.0 — a select without a branch.
+inline double keep_if(bool keep, double v) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) &
+                               (std::uint64_t{0} - std::uint64_t{keep}));
+}
+
+/// Calls fn(i, u_old, u_new) for every id of the union of the columns
+/// \p old_col and \p new_col, in ascending order, with 0.0 standing in for
+/// an id a column lacks. Those are exactly the ids where a swap can change
+/// coverage: an id in neither column has u_old == u_new == 0.0, contributes
+/// an exact +0.0 delta term and leaves its total unchanged, so skipping it
+/// changes no bit.
+template <typename View, typename Fn>
+void for_each_merged(View old_col, View new_col, Fn&& fn) {
+  std::size_t a = 0;
+  std::size_t b = 0;
+  // Branch-free: which side advances is data-dependent and unpredictable,
+  // and this loop is the whole cost of a trial.
+  while (a < old_col.size && b < new_col.size) {
+    const std::uint32_t ia = old_col.ids[a];
+    const std::uint32_t ib = new_col.ids[b];
+    const bool take_a = ia <= ib;
+    const bool take_b = ib <= ia;
+    fn(std::min(ia, ib), keep_if(take_a, old_col.units[a]),
+       keep_if(take_b, new_col.units[b]));
+    a += static_cast<std::size_t>(take_a);
+    b += static_cast<std::size_t>(take_b);
+  }
+  for (; a < old_col.size; ++a) fn(old_col.ids[a], old_col.units[a], 0.0);
+  for (; b < new_col.size; ++b) fn(new_col.ids[b], 0.0, new_col.units[b]);
+}
+
 }  // namespace
 
 DeltaEvaluator::DeltaEvaluator(const core::Problem& problem,
                                const geo::PointSet& centers,
-                               spatial::SpatialIndex* borrowed_index)
-    : problem_(problem), centers_(centers), ball_old_slot_(kNoSlot) {
+                               const geo::PointSet& candidates,
+                               spatial::SpatialIndex* borrowed_index,
+                               ColumnWorkspace* workspace)
+    : problem_(problem),
+      centers_(centers),
+      candidates_(candidates),
+      ws_(workspace) {
   MMPH_REQUIRE(centers_.dim() == problem.dim(),
                "DeltaEvaluator: center dimension mismatch");
   MMPH_REQUIRE(!centers_.empty(), "DeltaEvaluator: empty center set");
+  MMPH_REQUIRE(candidates_.dim() == problem.dim(),
+               "DeltaEvaluator: candidate dimension mismatch");
+  MMPH_REQUIRE(problem.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "DeltaEvaluator: population exceeds 32-bit column ids");
   if (borrowed_index != nullptr) {
     MMPH_REQUIRE(borrowed_index->size() == problem.size() &&
                      borrowed_index->dim() == problem.dim() &&
@@ -38,20 +82,37 @@ DeltaEvaluator::DeltaEvaluator(const core::Problem& problem,
                                  problem.metric());
     index_ = owned_.get();
   }
+  if (ws_ == nullptr) {
+    owned_ws_ = std::make_unique<ColumnWorkspace>();
+    ws_ = owned_ws_.get();
+  }
 
-  const std::size_t n = problem_.size();
-  const std::size_t k = centers_.size();
-  units_.assign(k * n, 0.0);
-  totals_.assign(n, 0.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    index_->query(centers_[j], ball_new_);
-    for (const std::size_t i : ball_new_) {
-      const double u = core::unit_coverage(problem_, centers_[j], i);
-      units_[j * n + i] = u;
-      totals_[i] += u;
+  totals_.assign(problem_.size(), 0.0);
+  ws_->slots.resize(centers_.size());
+  for (std::size_t j = 0; j < centers_.size(); ++j) {
+    CoverageColumn& column = ws_->slots[j];
+    build_column(centers_[j], column);
+    for (std::size_t e = 0; e < column.ids.size(); ++e) {
+      totals_[column.ids[e]] += column.units[e];
     }
   }
   value_ = exact_value();
+
+  CoverageColumn& cached = ws_->cached;
+  cached.ids.clear();
+  cached.units.clear();
+  ws_->offsets.assign(1, 0);
+  for (; cached_count_ < candidates_.size(); ++cached_count_) {
+    build_column(candidates_[cached_count_], ws_->scratch);
+    if (cached.ids.size() + ws_->scratch.ids.size() > kColumnEntryBudget) {
+      break;  // this and every later candidate is built per trial
+    }
+    cached.ids.insert(cached.ids.end(), ws_->scratch.ids.begin(),
+                      ws_->scratch.ids.end());
+    cached.units.insert(cached.units.end(), ws_->scratch.units.begin(),
+                        ws_->scratch.units.end());
+    ws_->offsets.push_back(cached.ids.size());
+  }
 }
 
 double DeltaEvaluator::exact_value() const {
@@ -62,48 +123,66 @@ double DeltaEvaluator::exact_value() const {
   return f;
 }
 
-void DeltaEvaluator::gather_touched(std::size_t j,
-                                    geo::ConstVec candidate) const {
-  if (ball_old_slot_ != j) {
-    index_->query(centers_[j], ball_old_);
-    ball_old_slot_ = j;
+void DeltaEvaluator::build_column(geo::ConstVec point,
+                                  CoverageColumn& out) const {
+  out.ids.clear();
+  out.units.clear();
+  // The query is a superset of the ball in ascending id order, so the
+  // column is ascending too; ids at or past the radius have u == 0.0.
+  index_->query(point, ws_->ball);
+  for (const std::size_t i : ws_->ball) {
+    const double u = core::unit_coverage(problem_, point, i);
+    if (u > 0.0) {
+      out.ids.push_back(static_cast<std::uint32_t>(i));
+      out.units.push_back(u);
+    }
   }
-  index_->query(candidate, ball_new_);
-  // Merge the two ascending id lists (spatial contract: strictly
-  // ascending), so the delta accumulates in ascending point order — the
-  // same association every time, hence bit-reproducible polishes.
-  touched_.clear();
-  std::set_union(ball_old_.begin(), ball_old_.end(), ball_new_.begin(),
-                 ball_new_.end(), std::back_inserter(touched_));
 }
 
-double DeltaEvaluator::delta_for_swap(std::size_t j,
-                                      geo::ConstVec candidate) const {
-  MMPH_REQUIRE(j < centers_.size(), "DeltaEvaluator: center index");
-  gather_touched(j, candidate);
-  const std::size_t n = problem_.size();
-  double delta = 0.0;
-  for (const std::size_t i : touched_) {
-    const double u_new = core::unit_coverage(problem_, candidate, i);
-    const double total = totals_[i] - units_[j * n + i] + u_new;
-    delta += problem_.weight(i) *
-             (std::min(total, 1.0) - std::min(totals_[i], 1.0));
+DeltaEvaluator::ColumnView DeltaEvaluator::column_of(std::size_t c) const {
+  MMPH_REQUIRE(c < candidates_.size(), "DeltaEvaluator: candidate index");
+  if (c < cached_count_) {
+    const std::size_t begin = ws_->offsets[c];
+    return {ws_->cached.ids.data() + begin, ws_->cached.units.data() + begin,
+            ws_->offsets[c + 1] - begin};
   }
+  build_column(candidates_[c], ws_->scratch);
+  return view_of(ws_->scratch);
+}
+
+DeltaEvaluator::ColumnView DeltaEvaluator::view_of(
+    const CoverageColumn& column) {
+  return {column.ids.data(), column.units.data(), column.ids.size()};
+}
+
+double DeltaEvaluator::delta_of(std::size_t j, ColumnView col) const {
+  MMPH_REQUIRE(j < centers_.size(), "DeltaEvaluator: center index");
+  double delta = 0.0;
+  for_each_merged(view_of(ws_->slots[j]), col,
+                  [&](std::uint32_t i, double u_old, double u_new) {
+                    const double total = totals_[i] - u_old + u_new;
+                    delta += problem_.weight(i) * (std::min(total, 1.0) -
+                                                   std::min(totals_[i], 1.0));
+                  });
   return delta;
 }
 
-void DeltaEvaluator::commit_swap(std::size_t j, geo::ConstVec candidate) {
-  const double delta = delta_for_swap(j, candidate);
-  const std::size_t n = problem_.size();
-  for (const std::size_t i : touched_) {
-    const double u_new = core::unit_coverage(problem_, candidate, i);
-    totals_[i] += u_new - units_[j * n + i];
-    units_[j * n + i] = u_new;
-  }
-  geo::assign(centers_.mutable_point(j), candidate);
+double DeltaEvaluator::delta_for_swap(std::size_t j, std::size_t c) const {
+  return delta_of(j, column_of(c));
+}
+
+void DeltaEvaluator::commit_swap(std::size_t j, std::size_t c) {
+  const ColumnView col = column_of(c);
+  const double delta = delta_of(j, col);
+  CoverageColumn& slot = ws_->slots[j];
+  for_each_merged(view_of(slot), col,
+                  [&](std::uint32_t i, double u_old, double u_new) {
+                    totals_[i] += u_new - u_old;
+                  });
+  slot.ids.assign(col.ids, col.ids + col.size);
+  slot.units.assign(col.units, col.units + col.size);
+  geo::assign(centers_.mutable_point(j), candidates_[c]);
   value_ += delta;
-  // Only slot j's ball changed; a cached ball for another slot stays valid.
-  if (ball_old_slot_ == j) ball_old_slot_ = kNoSlot;
 }
 
 namespace {
@@ -130,12 +209,12 @@ struct PolishRun {
   DeltaEvaluator& eval;
   LsStats& stats;
 
-  [[nodiscard]] double try_eval(std::size_t j, geo::ConstVec cand) {
+  [[nodiscard]] double try_eval(std::size_t j, std::size_t c) {
     if (config.fault_hook && config.fault_hook(kFaultLsEvalThrow)) {
       throw std::runtime_error("ls: injected delta-evaluation fault");
     }
     ++stats.evals;
-    return eval.delta_for_swap(j, cand);
+    return eval.delta_for_swap(j, c);
   }
 
   /// One first-improvement sweep: shift pass (radius-local candidates via
@@ -149,9 +228,9 @@ struct PolishRun {
       for (std::size_t j = 0; j < k; ++j) {
         cand_index->query(eval.centers()[j], shift_ids);
         for (const std::size_t c : shift_ids) {
-          const double delta = try_eval(j, candidates[c]);
+          const double delta = try_eval(j, c);
           if (delta > config.min_gain) {
-            eval.commit_swap(j, candidates[c]);
+            eval.commit_swap(j, c);
             ++stats.moves;
             ++stats.shift_moves;
             improved = true;
@@ -162,9 +241,9 @@ struct PolishRun {
     }
     for (std::size_t j = 0; j < k; ++j) {
       for (std::size_t c = 0; c < candidates.size(); ++c) {
-        const double delta = try_eval(j, candidates[c]);
+        const double delta = try_eval(j, c);
         if (delta > config.min_gain) {
-          eval.commit_swap(j, candidates[c]);
+          eval.commit_swap(j, c);
           ++stats.moves;
           ++stats.swap_moves;
           improved = true;
@@ -186,7 +265,7 @@ struct PolishRun {
     for (std::size_t j = 0; j < k; ++j) {
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         if (tabu_until[c] > move_clock) continue;
-        const double delta = try_eval(j, candidates[c]);
+        const double delta = try_eval(j, c);
         if (delta > best_delta) {
           best_delta = delta;
           ties.assign(1, {j, c});
@@ -198,7 +277,7 @@ struct PolishRun {
     if (best_delta <= config.min_gain || ties.empty()) return false;
     const auto [j, c] = ties[static_cast<std::size_t>(
         rng.next_below(static_cast<std::uint64_t>(ties.size())))];
-    eval.commit_swap(j, candidates[c]);
+    eval.commit_swap(j, c);
     ++stats.moves;
     ++stats.swap_moves;
     ++move_clock;
@@ -214,7 +293,8 @@ struct PolishRun {
 
 core::Solution polish(const core::Problem& problem, const core::Solution& seed,
                       const geo::PointSet& candidates, const LsConfig& config,
-                      LsStats* stats, spatial::SpatialIndex* population_index) {
+                      LsStats* stats, spatial::SpatialIndex* population_index,
+                      ColumnWorkspace* workspace) {
   MMPH_REQUIRE(!candidates.empty(), "ls::polish: empty candidate set");
   MMPH_REQUIRE(candidates.dim() == problem.dim(),
                "ls::polish: candidate dimension mismatch");
@@ -225,7 +305,8 @@ core::Solution polish(const core::Problem& problem, const core::Solution& seed,
   MMPH_REQUIRE(seed.centers.dim() == problem.dim(),
                "ls::polish: seed dimension mismatch");
 
-  DeltaEvaluator eval(problem, seed.centers, population_index);
+  DeltaEvaluator eval(problem, seed.centers, candidates, population_index,
+                      workspace);
   std::unique_ptr<spatial::SpatialIndex> cand_index;
   if (config.shift_moves) {
     cand_index =
@@ -299,7 +380,8 @@ core::Solution LocalSearchSolver::solve(const core::Problem& problem,
   const geo::PointSet& domain = candidates_.empty()
                                     ? problem.points()
                                     : candidates_;
-  core::Solution out = polish(problem, seed, domain, config_, &stats_);
+  core::Solution out = polish(problem, seed, domain, config_, &stats_,
+                              nullptr, &workspace_);
   out.solver_name = name();
   return out;
 }

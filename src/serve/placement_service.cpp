@@ -724,18 +724,21 @@ const PlacementView& PlacementService::solve_locked() {
   const auto start = Clock::now();
   core::Solution solution = planner_->plan(problem, config_.k);
   if (config_.solver == SolverTier::kLs && !solution.centers.empty()) {
-    // Polish the solve's output (warm path: the previous placement's
-    // refined centers — LS is seeded from the previous epoch). The carried
-    // coverage index, when present, serves the delta evaluations; the
-    // polisher unmasks it and IndexedActiveSet re-unmasks at its next
-    // solve, so lending it both ways is safe under the service mutex. A
-    // polish abort (ls.eval_throw) falls back to the seed placement.
+    // Polish the solve's output (warm path: the planner's refinement of
+    // the previous served placement). The carried coverage index, when
+    // present, builds the coverage columns; the polisher unmasks it and
+    // IndexedActiveSet re-unmasks at its next solve, so lending it both
+    // ways is safe under the service mutex. A polish abort
+    // (ls.eval_throw) falls back to the seed placement.
     ls::LsConfig polish = config_.ls;
     polish.fault_hook = config_.fault_hook;
     ls::LsStats ls_stats;
     const auto polish_start = Clock::now();
     solution = ls::polish(problem, solution, problem.points(), polish,
-                          &ls_stats, index_.get());
+                          &ls_stats, index_.get(), &ls_workspace_);
+    // The next warm re-solve starts from what is served, so the polish
+    // never re-climbs moves an earlier epoch already found.
+    planner_->adopt(solution.centers);
     metrics_.add_ls(ls_stats.moves, ls_stats.evals, ls_stats.improved);
     trace::SpanCollector::global().record(
         "serve.solve.polish",
@@ -889,7 +892,7 @@ void PlacementService::process_batch(std::vector<Request> batch) {
       mutated = true;
     }
   }
-  if (config_.wal != nullptr && mutated) {
+  if ((config_.wal != nullptr || config_.shard_wal != nullptr) && mutated) {
     try {
       commit_wal_locked();
       maybe_snapshot_locked();

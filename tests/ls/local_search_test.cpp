@@ -71,21 +71,24 @@ void expect_identical(const core::Solution& got, const core::Solution& want,
 
 TEST(DeltaEvaluator, Validation) {
   const core::Problem p = random_problem(20, 1);
-  EXPECT_THROW(DeltaEvaluator(p, geo::PointSet(2)), InvalidArgument);
-  EXPECT_THROW(DeltaEvaluator(p, geo::PointSet::from_rows({{0.0, 0.0, 0.0}})),
+  EXPECT_THROW(DeltaEvaluator(p, geo::PointSet(2), p.points()),
+               InvalidArgument);
+  const geo::PointSet wrong_dim = geo::PointSet::from_rows({{0.0, 0.0, 0.0}});
+  EXPECT_THROW(DeltaEvaluator(p, wrong_dim, p.points()), InvalidArgument);
+  EXPECT_THROW(DeltaEvaluator(p, first_points(p, 3), wrong_dim),
                InvalidArgument);
   // A borrowed index must describe exactly this problem.
   const core::Problem other = random_problem(21, 2);
   auto wrong =
       spatial::make_index(other.points(), other.radius(), other.metric());
-  EXPECT_THROW(DeltaEvaluator(p, first_points(p, 3), wrong.get()),
+  EXPECT_THROW(DeltaEvaluator(p, first_points(p, 3), p.points(), wrong.get()),
                InvalidArgument);
 }
 
 TEST(DeltaEvaluator, AgreesWithSwapEvaluatorAcrossSwapSequence) {
   const core::Problem problem = random_problem(160, 7);
   const std::size_t k = 5;
-  DeltaEvaluator delta(problem, first_points(problem, k));
+  DeltaEvaluator delta(problem, first_points(problem, k), problem.points());
   core::SwapEvaluator full(problem, first_points(problem, k));
 
   EXPECT_NEAR(delta.current_value(), full.current_value(), 1e-9);
@@ -99,12 +102,12 @@ TEST(DeltaEvaluator, AgreesWithSwapEvaluatorAcrossSwapSequence) {
     const auto c = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(problem.size()) - 1));
     const geo::ConstVec candidate = problem.points()[c];
-    const double got = delta.delta_for_swap(j, candidate);
+    const double got = delta.delta_for_swap(j, c);
     const double want =
         full.value_with_swap(j, candidate) - full.current_value();
     EXPECT_NEAR(got, want, 1e-9) << "step " << step;
     if (step % 3 == 0) {
-      delta.commit_swap(j, candidate);
+      delta.commit_swap(j, c);
       full.commit_swap(j, candidate);
       EXPECT_NEAR(delta.current_value(), full.current_value(), 1e-9);
       // The accumulated value never drifts from the cached totals.
@@ -116,10 +119,10 @@ TEST(DeltaEvaluator, AgreesWithSwapEvaluatorAcrossSwapSequence) {
 TEST(DeltaEvaluator, BinaryRewardShapeAgreesToo) {
   const core::Problem problem = random_problem(
       90, 3, geo::l2_metric(), core::RewardShape::kBinary);
-  DeltaEvaluator delta(problem, first_points(problem, 4));
+  DeltaEvaluator delta(problem, first_points(problem, 4), problem.points());
   core::SwapEvaluator full(problem, first_points(problem, 4));
   for (std::size_t c = 0; c < problem.size(); c += 7) {
-    const double got = delta.delta_for_swap(1, problem.points()[c]);
+    const double got = delta.delta_for_swap(1, c);
     const double want =
         full.value_with_swap(1, problem.points()[c]) - full.current_value();
     EXPECT_NEAR(got, want, 1e-9) << "candidate " << c;

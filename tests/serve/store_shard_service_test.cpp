@@ -309,6 +309,63 @@ TEST(ShardService, BarrierFaultPoisonsTheWholeLogSet) {
   EXPECT_EQ(service.epoch(), epoch);
 }
 
+TEST(ShardService, BatchedAcksWaitForTheCrossShardBarrier) {
+  wal::MemFileOps mem;
+  bool armed = false;
+  wal::BarrierFaultHook hook = [&](std::string_view) { return armed; };
+  wal::WalConfig base;
+  base.dir = "wal";
+  base.file_ops = &mem;
+  wal::ShardedWal coordinator(base, 4, wal::ShardedRecovery{}, hook);
+  ServiceConfig config = sharded_config(4);
+  config.shard_wal = &coordinator;
+  PlacementService service(config);
+
+  std::future<Response> ok =
+      service.submit(Request::add_users({user(1, 1.0, 0.1, 0.2)}));
+  (void)service.pump();
+  EXPECT_EQ(ok.get().status, ResponseStatus::kOk);
+
+  // The barrier fails: a batched ack must not claim durability.
+  armed = true;
+  std::future<Response> add =
+      service.submit(Request::add_users({user(2, 1.0, 0.9, 0.8)}));
+  std::future<Response> remove = service.submit(Request::remove_users({1}));
+  (void)service.pump();
+  EXPECT_EQ(add.get().status, ResponseStatus::kInternalError);
+  EXPECT_EQ(remove.get().status, ResponseStatus::kInternalError);
+  EXPECT_TRUE(coordinator.failed());
+}
+
+TEST(ShardService, BatchedOpsRollShardCheckpoints) {
+  wal::MemFileOps mem;
+  wal::WalConfig base;
+  base.dir = "wal";
+  base.file_ops = &mem;
+  base.snapshot_every_ops = 8;
+  wal::ShardedWal coordinator(base, 4, wal::ShardedRecovery{});
+  ServiceConfig config = sharded_config(4);
+  config.shard_wal = &coordinator;
+  PlacementService service(config);
+
+  const auto checkpoints = [&] {
+    const std::vector<std::string> paths = mem.all_paths();
+    return std::count_if(paths.begin(), paths.end(), [](const std::string& p) {
+      return p.find("snap-") != std::string::npos;
+    });
+  };
+  ASSERT_EQ(checkpoints(), 0);
+  // Every user lands in one cell, hence one shard: 8 batched ops trip
+  // that shard's checkpoint budget.
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    std::future<Response> reply = service.submit(
+        Request::add_users({user(id, 1.0, 0.01 * id, 0.02 * id)}));
+    (void)service.pump();
+    EXPECT_EQ(reply.get().status, ResponseStatus::kOk);
+  }
+  EXPECT_GE(checkpoints(), 1) << "batched ops never reached a checkpoint";
+}
+
 TEST(ShardService, ReplicationEndpointsRejectedWhileSharded) {
   PlacementService service(sharded_config(2));
   service.apply_add({user(1, 1.0, 0.1, 0.2)});

@@ -6,7 +6,11 @@
 //   2. the service wiring — a PlacementService on SolverTier::kLs rides
 //      the incremental warm path across 25 churn epochs, its placements
 //      always at least as good as a config-identical kLazy service fed
-//      the same mutations, with the mmph_ls_* counters advancing.
+//      the same mutations, with the mmph_ls_* counters advancing;
+//   3. the warm history is the served placement — after a warm re-solve
+//      whose polish improved, a no-op churn (one user re-upserted
+//      unchanged) re-solves from the polished centers, so the polish has
+//      nothing left to re-climb.
 
 #include <gtest/gtest.h>
 
@@ -143,6 +147,58 @@ TEST(WarmLs, ServiceOnLsTierTracksOrBeatsLazyAcrossChurnEpochs) {
       << "churn was meant to ride the warm path";
   const MetricsSnapshot lazy_m = lazy_service.metrics();
   EXPECT_EQ(lazy_m.ls_evals, 0u) << "kLazy must not touch the polish tier";
+}
+
+TEST(WarmLs, WarmReSolveStartsFromTheServedPlacement) {
+  ServiceConfig config;
+  config.dim = 2;
+  config.k = 6;
+  config.radius = 1.0;
+  config.solver = SolverTier::kLs;
+  config.full_solve_churn_fraction = 0.5;  // every epoch below stays warm
+  PlacementService service(config);
+
+  rnd::Pcg64 rng(23);
+  std::uint64_t next_id = 1;
+  std::vector<UserRecord> live;
+  for (std::size_t i = 0; i < 300; ++i) {
+    live.push_back(make_user(next_id++, rng));
+  }
+  service.apply_add(live);
+  (void)service.placement();  // cold solve + polish
+
+  // Churn until a warm re-solve's polish improves on the planner's seed.
+  bool warm_polish_improved = false;
+  for (int epoch = 0; epoch < 40 && !warm_polish_improved; ++epoch) {
+    std::vector<UserRecord> moved;
+    for (int c = 0; c < 6; ++c) {
+      UserRecord& user = live[rng.next_below(live.size())];
+      user = make_user(user.id, rng);  // same id, new interest: a move
+      moved.push_back(user);
+    }
+    service.apply_add(moved);
+    const MetricsSnapshot before = service.metrics();
+    (void)service.placement();
+    const MetricsSnapshot after = service.metrics();
+    ASSERT_EQ(after.incremental_solves, before.incremental_solves + 1);
+    warm_polish_improved = after.ls_improvements > before.ls_improvements;
+  }
+  ASSERT_TRUE(warm_polish_improved)
+      << "no warm polish improved; the scenario tests nothing";
+
+  // A no-op churn: re-upsert one user unchanged. The population is the
+  // same, so the warm re-solve starts from the polished local optimum and
+  // the polish must not commit a single move.
+  const MetricsSnapshot before = service.metrics();
+  const PlacementView served = service.placement();
+  service.apply_add({live.front()});
+  const PlacementView again = service.placement();
+  const MetricsSnapshot after = service.metrics();
+  EXPECT_EQ(after.incremental_solves, before.incremental_solves + 1);
+  EXPECT_EQ(after.ls_moves, before.ls_moves)
+      << "the warm re-solve re-climbed moves of the served placement";
+  EXPECT_GT(after.ls_evals, before.ls_evals) << "the polish did not run";
+  EXPECT_EQ(again.objective, served.objective);
 }
 
 }  // namespace

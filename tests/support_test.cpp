@@ -4,6 +4,10 @@
 
 #include "mmph/support/assert.hpp"
 #include "mmph/support/error.hpp"
+#include "mmph/support/page_allocator.hpp"
+
+#include <cstdint>
+#include <vector>
 
 namespace mmph {
 namespace {
@@ -54,6 +58,25 @@ TEST(Assert, PassingAssertIsSilent) {
   int count = 0;
   MMPH_ASSERT(++count == 1, "side effect allowed in tests");
   SUCCEED();
+}
+
+TEST(PageAllocator, VectorsGrowAcrossTheMmapThreshold) {
+  // Growth crosses from malloc-backed to page-backed storage and back
+  // (shrink_to_fit); contents survive every move.
+  std::vector<std::uint32_t, support::PageAllocator<std::uint32_t>> ids;
+  const std::size_t n =
+      4 * support::kPageAllocMinBytes / sizeof(std::uint32_t);
+  for (std::size_t i = 0; i < n; ++i) {
+    ids.push_back(static_cast<std::uint32_t>(i));
+  }
+  for (std::size_t i = 0; i < n; i += 997) EXPECT_EQ(ids[i], i);
+  ids.resize(10);
+  ids.shrink_to_fit();
+  EXPECT_EQ(ids.back(), 9u);
+  std::vector<double, support::PageAllocator<double>> copy(ids.begin(),
+                                                          ids.end());
+  EXPECT_EQ(copy.size(), 10u);
+  EXPECT_EQ(copy[3], 3.0);
 }
 
 }  // namespace
