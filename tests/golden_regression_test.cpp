@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "mmph/core/registry.hpp"
 #include "mmph/random/workload.hpp"
 
@@ -29,6 +31,13 @@ struct GoldenCase {
   const char* solver;
   double expected_total;
 };
+
+// Without this gtest prints the raw bytes of the struct, and the ctest
+// names gtest_discover_tests builds from them would carry the address of
+// the solver string, which changes from run to run.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << '"' << c.solver << '"';
+}
 
 class GoldenRegression : public ::testing::TestWithParam<GoldenCase> {};
 
